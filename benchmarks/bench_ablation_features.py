@@ -2,7 +2,8 @@
 
 Quantifies each design choice separately: total-redundancy elimination
 (γ/R) on/off, and the α/β method (the paper's blocked BFS vs this
-reproduction's block-cut-tree DP) on undirected graphs.
+reproduction's block-cut-tree DP) on a directed and an undirected
+graph.
 """
 
 import pytest
@@ -17,6 +18,8 @@ from conftest import one_shot
 _VARIANTS = {
     "full": APGREConfig(),
     "no-gamma": APGREConfig(eliminate_pendants=False),
+    "ab-bfs": APGREConfig(alpha_beta_method="bfs"),
+    "ab-tree": APGREConfig(alpha_beta_method="tree"),
 }
 
 
@@ -31,6 +34,7 @@ def test_apgre_variant(benchmark, variant):
         apgre_bc,
         graph,
         eliminate_pendants=config.eliminate_pendants,
+        alpha_beta_method=config.alpha_beta_method,
     )
     assert scores.shape == (graph.n,)
     benchmark.group = f"ablation-{name}"

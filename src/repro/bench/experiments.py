@@ -468,10 +468,9 @@ def ablation_features() -> ExperimentResult:
         variants = [
             ("APGRE (full)", APGREConfig()),
             ("no pendant elimination", APGREConfig(eliminate_pendants=False)),
+            ("alpha/beta: blocked BFS", APGREConfig(alpha_beta_method="bfs")),
+            ("alpha/beta: tree DP", APGREConfig(alpha_beta_method="tree")),
         ]
-        if not graph.directed:
-            variants.append(("alpha/beta: blocked BFS", APGREConfig(alpha_beta_method="bfs")))
-            variants.append(("alpha/beta: tree DP", APGREConfig(alpha_beta_method="tree")))
         for label, config in variants:
             t0 = time.perf_counter()
             apgre_bc_detailed(graph, config)

@@ -294,6 +294,7 @@ def apgre_bc_detailed(
         timings.alpha_beta = time.perf_counter() - t0
         stats.alpha_beta_pairs = ab.pairs
         stats.alpha_beta_method = ab.method
+        stats.alpha_beta_arcs = ab.arcs_examined
 
     subgraphs = partition.subgraphs
     stats.num_subgraphs = len(subgraphs)

@@ -26,9 +26,10 @@ class APGREConfig:
         Algorithm-1 small-BCC merge threshold (vertices). Swept by the
         threshold ablation benchmark.
     alpha_beta_method:
-        ``"bfs"`` (the paper's blocked BFS), ``"tree"`` (this
-        reproduction's block-cut-tree DP, undirected only) or
-        ``"auto"`` (tree when undirected).
+        ``"bfs"`` (the paper's blocked BFS, O(Σ_i |A_i|·(V+E))),
+        ``"tree"`` (this reproduction's block-cut-tree DP: O(V+E) on
+        undirected inputs, O(V+E + Σ_i |A_i|·|E_i|) on directed ones)
+        or ``"auto"`` (tree). Both give bit-identical α/β.
     eliminate_pendants:
         Enable the total-redundancy elimination (R/γ). Disabling it
         runs every vertex as a source — the partial-redundancy-only

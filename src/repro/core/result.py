@@ -114,6 +114,13 @@ class APGREStats:
     correction-sweep replays they trigger are real per-run traversal
     work and stay inside ``edges_traversed``.
 
+    ``alpha_beta_method`` / ``alpha_beta_arcs`` name the α/β method
+    the run resolved to and the arcs it examined
+    (:class:`repro.decompose.alphabeta.AlphaBetaStats`): the blocked
+    BFS runs for ``"bfs"``, the per-sub-graph local reach for
+    ``"tree"``.  Decomposition work, so outside
+    ``edges_traversed``/TEPS.
+
     ``vertices_merged`` / ``chains_contracted`` / ``vertices_peeled``
     tally the structural compression (``compress=True`` runs only;
     docs/COMPRESSION.md): twin-class members collapsed into their
@@ -148,6 +155,7 @@ class APGREStats:
     subgraphs_recomputed: int = 0
     alpha_beta_pairs: int = 0
     alpha_beta_method: str = ""
+    alpha_beta_arcs: int = 0
     shards_created: int = 0
     separator_vertices: int = 0
     edges_correction: int = 0

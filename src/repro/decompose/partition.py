@@ -164,25 +164,31 @@ class Partition:
             )
 
 
+def _sorted_arc_keys(graph: CSRGraph) -> np.ndarray:
+    """Linearised arc keys ``src * n + dst`` of ``graph``, sorted."""
+    src, dst = graph.arcs()
+    keys = src.astype(np.int64) * graph.n + dst.astype(np.int64)
+    keys.sort()
+    return keys
+
+
 def _directed_arcs_for_pairs(
-    graph: CSRGraph, pairs: np.ndarray
+    keys: np.ndarray, n: int, pairs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover the original directed arcs for undirected edge pairs.
 
     The block decomposition runs on the undirected shadow; each shadow
     edge ``{u, v}`` corresponds to ``u->v``, ``v->u`` or both in the
-    directed input. Membership is tested with one vectorised
-    ``isin`` over linearised arc keys.
+    directed input. Membership is tested by binary search in the
+    graph's sorted arc keys (:func:`_sorted_arc_keys`, built once per
+    partition).
     """
-    src, dst = graph.arcs()
-    keys = src.astype(np.int64) * graph.n + dst.astype(np.int64)
-    keys.sort()
     u = pairs[:, 0].astype(np.int64)
     v = pairs[:, 1].astype(np.int64)
-    fwd = np.searchsorted(keys, u * graph.n + v)
-    fwd_ok = (fwd < keys.size) & (keys[np.minimum(fwd, keys.size - 1)] == u * graph.n + v)
-    bwd = np.searchsorted(keys, v * graph.n + u)
-    bwd_ok = (bwd < keys.size) & (keys[np.minimum(bwd, keys.size - 1)] == v * graph.n + u)
+    fwd = np.searchsorted(keys, u * n + v)
+    fwd_ok = (fwd < keys.size) & (keys[np.minimum(fwd, keys.size - 1)] == u * n + v)
+    bwd = np.searchsorted(keys, v * n + u)
+    bwd_ok = (bwd < keys.size) & (keys[np.minimum(bwd, keys.size - 1)] == v * n + u)
     out_src = np.concatenate([u[fwd_ok], v[bwd_ok]])
     out_dst = np.concatenate([v[fwd_ok], u[bwd_ok]])
     return out_src, out_dst
@@ -193,9 +199,11 @@ def _build_subgraph(
     graph: CSRGraph,
     edge_arrays: List[np.ndarray],
     extra_vertices: Optional[np.ndarray] = None,
+    arc_keys: Optional[np.ndarray] = None,
 ) -> Subgraph:
     """Materialise one sub-graph from its undirected edge arrays.
 
+    ``arc_keys`` are the sorted arc keys of a directed ``graph``.
     Boundary/root/γ fields are placeholders; they are resolved by
     :func:`graph_partition` once global boundary information exists.
     """
@@ -210,7 +218,7 @@ def _build_subgraph(
     local = np.full(graph.n, -1, dtype=np.int64)
     local[verts] = np.arange(verts.size)
     if graph.directed:
-        gsrc, gdst = _directed_arcs_for_pairs(graph, pairs)
+        gsrc, gdst = _directed_arcs_for_pairs(arc_keys, graph.n, pairs)
     else:
         gsrc, gdst = pairs[:, 0], pairs[:, 1]
     sub = CSRGraph.from_arcs(
@@ -347,15 +355,22 @@ def graph_partition(
                 finalized.append(curr)
 
     # --- materialise sub-graphs ---
+    arc_keys = _sorted_arc_keys(graph) if graph.directed else None
     subgraphs: List[Subgraph] = []
     for gid in finalized:
         subgraphs.append(
-            _build_subgraph(len(subgraphs), graph, group_edges[gid])
+            _build_subgraph(
+                len(subgraphs), graph, group_edges[gid], arc_keys=arc_keys
+            )
         )
     if bcc.isolated_vertices.size:
         subgraphs.append(
             _build_subgraph(
-                len(subgraphs), graph, [], extra_vertices=bcc.isolated_vertices
+                len(subgraphs),
+                graph,
+                [],
+                extra_vertices=bcc.isolated_vertices,
+                arc_keys=arc_keys,
             )
         )
 

@@ -33,6 +33,7 @@ __all__ = [
     "bfs_sigma",
     "bfs_sigma_hybrid",
     "bfs_blocked",
+    "blocked_reach",
     "reverse_bfs_blocked",
 ]
 
@@ -254,25 +255,30 @@ def bfs_sigma_hybrid(
     )
 
 
-def _blocked_reach_count(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n: int,
+def blocked_reach(
+    graph: CSRGraph,
     source: int,
     blocked: np.ndarray,
-) -> int:
-    """Count vertices reachable from ``source`` avoiding ``blocked``.
+    *,
+    reverse: bool = False,
+) -> Tuple[int, int]:
+    """``(reached, arcs examined)`` of a BFS from ``source`` avoiding ``blocked``.
 
-    The source is always expanded even if flagged blocked (it is the
-    articulation point itself); blocked vertices are never entered and
-    never counted.
+    Follows out-arcs, or in-arcs when ``reverse``. The source is always
+    expanded even if flagged blocked (it is the articulation point
+    itself); blocked vertices are never entered and never counted.
+    Every expanded vertex's arcs count as examined.
     """
+    indptr = graph.in_indptr if reverse else graph.out_indptr
+    indices = graph.in_indices if reverse else graph.out_indices
     seen = blocked.copy()
     seen[source] = True
     frontier = np.asarray([source], dtype=VERTEX_DTYPE)
     reached = 0
+    arcs = 0
     while frontier.size:
         dst, _src = expand_frontier(indptr, indices, frontier)
+        arcs += int(dst.size)
         if dst.size == 0:
             break
         nxt = np.unique(dst[~seen[dst]])
@@ -281,7 +287,7 @@ def _blocked_reach_count(
         seen[nxt] = True
         reached += int(nxt.size)
         frontier = nxt
-    return reached
+    return reached, arcs
 
 
 def bfs_blocked(graph: CSRGraph, source: int, blocked: np.ndarray) -> int:
@@ -291,9 +297,7 @@ def bfs_blocked(graph: CSRGraph, source: int, blocked: np.ndarray) -> int:
     is "the number of vertices which a can reach without passing
     through SGi in G", excluding ``a`` itself.
     """
-    return _blocked_reach_count(
-        graph.out_indptr, graph.out_indices, graph.n, source, blocked
-    )
+    return blocked_reach(graph, source, blocked)[0]
 
 
 def reverse_bfs_blocked(
@@ -304,6 +308,4 @@ def reverse_bfs_blocked(
     Implements the paper's β count via reverse BFS. For undirected
     graphs this coincides with :func:`bfs_blocked`.
     """
-    return _blocked_reach_count(
-        graph.in_indptr, graph.in_indices, graph.n, source, blocked
-    )
+    return blocked_reach(graph, source, blocked, reverse=True)[0]

@@ -137,6 +137,18 @@ class TestParallelModes:
 
 
 class TestDetailedResult:
+    def test_alpha_beta_stats_carried(self, dir_random):
+        for method in ("bfs", "tree"):
+            part = graph_partition(dir_random)
+            ab = compute_alpha_beta(dir_random, part, method=method)
+            s = apgre_bc_detailed(
+                dir_random, APGREConfig(alpha_beta_method=method)
+            ).stats
+            assert s.alpha_beta_method == method
+            assert s.alpha_beta_pairs == ab.pairs
+            assert s.alpha_beta_arcs == ab.arcs_examined
+        assert apgre_bc_detailed(dir_random).stats.alpha_beta_method == "tree"
+
     def test_stats_populated(self, und_random):
         result = apgre_bc_detailed(und_random)
         s = result.stats

@@ -121,6 +121,28 @@ def test_alpha_beta_tree_equals_bfs(g):
         np.testing.assert_array_equal(sg1.beta, sg2.beta)
 
 
+@given(random_graphs(directed=True), st.sampled_from([0, 8]))
+@settings(**SETTINGS)
+def test_alpha_beta_tree_equals_bfs_directed(g, threshold):
+    """(c') ... and on directed graphs.
+
+    The strategy's G(n,m) cores are often disconnected and it adds
+    pendant sources and isolated vertices; threshold 0 keeps every
+    block its own sub-graph (the deepest block-cut trees).
+    """
+    p1 = graph_partition(g, threshold=threshold)
+    p2 = graph_partition(g, threshold=threshold)
+    compute_alpha_beta(g, p1, method="bfs")
+    stats = compute_alpha_beta(g, p2, method="tree")
+    for sg1, sg2 in zip(p1.subgraphs, p2.subgraphs):
+        np.testing.assert_array_equal(sg1.alpha, sg2.alpha)
+        np.testing.assert_array_equal(sg1.beta, sg2.beta)
+    # local reach: at most every arc of the pair's sub-graph, per direction
+    bound = sum(sg.boundary_arts().size * sg.num_arcs for sg in p2.subgraphs)
+    assert stats.bfs_runs == 0
+    assert stats.arcs_examined <= 2 * bound
+
+
 @given(random_graphs())
 @settings(**SETTINGS)
 def test_articulation_matches_networkx(g):
