@@ -153,8 +153,9 @@ class APGREConfig:
         levels), ``"pull"`` (direction-optimizing push/pull),
         ``"numba"`` (optional compiled per-source Brandes), or
         ``"auto"`` (per-sub-graph selection from structural features).
-        ``None`` (default) defers to the ``REPRO_KERNEL`` environment
-        variable and then automatic selection.  Kernels run inside the
+        ``None`` (default) is the availability default — the SpMM
+        sweep when scipy imports, else arcs — with no ``REPRO_KERNEL``
+        lookup per sub-graph.  Kernels run inside the
         batched paths, so setting one implies ``batch_size="auto"``
         when no batch size is set; requesting an unavailable kernel
         degrades to the default with a ``RuntimeWarning``.

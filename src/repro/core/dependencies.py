@@ -20,6 +20,12 @@ one gather of ``σ_src/σ_dst`` per level feeds three scatter-adds.
 Within a level step no arc depends on another (arcs only cross level
 boundaries), which is exactly why the paper can run the level as a
 parallel-for and we can run it as vectorised numpy.
+
+This per-source kernel keeps the paper's split as the reference.  The
+sweeps are linear in their seeds, so ``δ_o2o = β(s)·δ_i2o`` and eq. 7
+needs only ``δ_i2i + δ_i2o`` — one Brandes sweep seeded with ``α``;
+the batched path (:mod:`repro.core.batched_subgraph`) runs that single
+sweep and is tested against this kernel (docs/ALGORITHM.md §7).
 """
 
 from __future__ import annotations

@@ -34,6 +34,11 @@ Two kernels implement the batched contraction:
   agree with the per-source path to float64 tolerance and the examined
   -edge tally is still identical (counted runs carry the arc
   multiplicities in the imaginary part of a complex matmul).
+
+Both backward sweeps take an optional per-vertex ``seed`` (the initial
+dependency of every non-root vertex), so the one level loop of each
+kernel serves plain Brandes (no seed) and batched APGRE (α seeded on
+the boundary articulation points).
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ __all__ = [
     "batched_bc_scores",
     "spmm_available",
     "spmm_contributions",
+    "spmm_dependencies",
 ]
 
 #: Upper bound on the ``auto`` heuristic: past ~this point the per-level
@@ -76,9 +82,9 @@ __all__ = [
 DEFAULT_MAX_BATCH = 128
 
 # Rough per-batch-row memory model used by the ``auto`` heuristic:
-# dist (int32) + sigma (float64) + up to three dependency matrices
-# (float64) per vertex, and two flattened int64 DAG-arc arrays plus
-# gather temporaries per arc.
+# dist (int32) + sigma (float64) + the dependency matrix and merge
+# temporaries (float64) per vertex, and two flattened int64 DAG-arc
+# arrays plus gather temporaries per arc.
 _BYTES_PER_ROW_VERTEX = 44
 _BYTES_PER_ROW_ARC = 20
 
@@ -467,9 +473,26 @@ def arc_segments(flat_src: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return flat_src[starts], starts
 
 
+def _broadcast_seed(
+    delta: np.ndarray, seed: Optional[np.ndarray], srcs: np.ndarray
+) -> None:
+    """Initialise a flattened ``(B, n)`` dependency buffer from ``seed``.
+
+    Every row starts from the per-vertex ``seed`` (zero when ``None``)
+    with its own root's entry forced to zero.
+    """
+    if seed is None:
+        delta.fill(0.0)
+        return
+    delta2 = delta.reshape(srcs.size, -1)
+    delta2[:] = seed
+    delta2[np.arange(srcs.size), srcs] = 0.0
+
+
 def accumulate_dependencies_batched(
     res: BatchedBFSResult,
     *,
+    seed: Optional[np.ndarray] = None,
     counter=None,
     workspace: Optional[BatchWorkspace] = None,
 ) -> np.ndarray:
@@ -481,20 +504,24 @@ def accumulate_dependencies_batched(
     ``i`` equals the serial ``accumulate_dependencies(..., mode="arcs")``
     for ``sources[i]``; the examined-edge tally matches it too.
 
-    ``workspace`` reuses the workspace's delta buffer (zeroed here);
-    pass the same workspace the forward phase used — the delta buffer
-    is distinct from its ``dist``/``sigma`` buffers.
+    ``seed`` is the optional per-vertex initial dependency of
+    :func:`spmm_dependencies` (broadcast to every row, root entry
+    zeroed); without it the replay stays bit-identical to serial.
+
+    ``workspace`` reuses the workspace's delta buffer (re-initialised
+    here); pass the same workspace the forward phase used — the delta
+    buffer is distinct from its ``dist``/``sigma`` buffers.
     """
     if res.level_arcs is None:
         raise AlgorithmError(
             "batched dependency accumulation needs keep_level_arcs=True"
         )
+    b, n = res.dist.shape
     if workspace is None:
-        delta_flat = np.zeros(res.dist.size, dtype=SCORE_DTYPE)
+        delta_flat = np.empty(b * n, dtype=SCORE_DTYPE)
     else:
-        b, n = res.dist.shape
         delta_flat = workspace.arrays(b, n)[2]
-        delta_flat.fill(0.0)
+    _broadcast_seed(delta_flat, seed, res.sources)
     sigma_flat = res.sigma.reshape(-1)
     for flat_src, flat_dst in reversed(res.level_arcs):
         if counter is not None:
@@ -504,12 +531,14 @@ def accumulate_dependencies_batched(
         coef = sigma_flat[flat_src] / sigma_flat[flat_dst]
         tails, runs = arc_segments(flat_src)
         # a vertex only receives contributions at its own level, so
-        # delta[tails] is still zero here and the segmented sum equals
-        # the serial np.add.at accumulation bit for bit
-        delta_flat[tails] = np.add.reduceat(
-            coef * (1.0 + delta_flat[flat_dst]), runs
-        )
-    return delta_flat.reshape(res.dist.shape)
+        # one segmented sum per tail completes it; unseeded, delta
+        # [tails] is still zero and the sum equals the serial
+        # np.add.at accumulation bit for bit
+        got = np.add.reduceat(coef * (1.0 + delta_flat[flat_dst]), runs)
+        if seed is not None:
+            got += delta_flat[tails]
+        delta_flat[tails] = got
+    return delta_flat.reshape(b, n)
 
 
 def spmm_available() -> bool:
@@ -567,15 +596,16 @@ def _spmm_operands_for(graph: CSRGraph, batch: int) -> "_SpmmOperands":
     return _SpmmOperands(graph, np.int64 if wide else np.int32)
 
 
-def spmm_contributions(
+def spmm_dependencies(
     graph: CSRGraph,
     sources,
     *,
+    seed: Optional[np.ndarray] = None,
     counter=None,
     operands: Optional["_SpmmOperands"] = None,
     workspace: Optional[BatchWorkspace] = None,
-) -> np.ndarray:
-    """Summed BC contributions of one batch via sparse matmuls.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-row distances and dependencies of one batch via sparse matmuls.
 
     Each forward level is one CSR product ``F · A`` where row ``i`` of
     ``F`` holds σ over row ``i``'s frontier: the C kernel expands,
@@ -588,14 +618,23 @@ def spmm_contributions(
     sweep mirrors it: one ``W · Aᵀ`` product per level with
     ``W = (1 + δ)/σ`` over the deeper frontier, masked to the vertices
     one level up — δ lands in the same level order as the serial
-    ``"arcs"`` replay, differing only in summation association, so
-    scores match within float64 tolerance.
+    ``"arcs"`` replay, differing only in summation association.
+
+    ``seed`` is an optional ``(n,)`` per-vertex initial dependency,
+    broadcast to every row with the row's own root entry zeroed:
+    ``δ(v) = seed(v) + σ(v)·Σ_w (1 + δ(w))/σ(w)`` over v's DAG
+    children.  ``None`` is plain Brandes; APGRE seeds α on the boundary
+    articulation points (:mod:`repro.core.batched_subgraph`).
 
     With ``counter`` the matmul runs on complex data whose imaginary
     part carries per-arc multiplicities: summing it over fresh
     candidates recovers the shortest-path-DAG arc count, making the
     tally (forward examinations + DAG replays) *identical* to the
     serial per-source path at the cost of one wider product.
+
+    Returns ``(dist, delta)`` as ``(B, n)`` arrays; ``delta`` keeps
+    each root's own dependency.  With ``workspace`` both are views into
+    its buffers, valid until the workspace's next use.
     """
     if _spmm_tools is None:
         raise AlgorithmError(
@@ -617,9 +656,9 @@ def spmm_contributions(
     if workspace is None:
         dist = np.full(b * n, -1, dtype=np.int32)
         sigma = np.zeros(b * n, dtype=SCORE_DTYPE)
-        delta_buf: Optional[np.ndarray] = None
+        delta = np.empty(b * n, dtype=SCORE_DTYPE)
     else:
-        dist, sigma, delta_buf = workspace.arrays(b, n)
+        dist, sigma, delta = workspace.arrays(b, n)
         dist.fill(-1)
         sigma.fill(0.0)
     rows = np.arange(b, dtype=np.int64)
@@ -679,11 +718,7 @@ def spmm_contributions(
         counter.add(edges)
         counter.add(dag_arcs)
     # backward: one (B, n) · Aᵀ product per level, deepest first
-    if delta_buf is None:
-        delta = np.zeros(b * n, dtype=SCORE_DTYPE)
-    else:
-        delta_buf.fill(0.0)
-        delta = delta_buf
+    _broadcast_seed(delta, seed, srcs)
     bp, bj, bx = ops.bwd
     for lvl in range(len(levels) - 1, 0, -1):
         flat, cols, fp, vals = levels[lvl]
@@ -702,11 +737,34 @@ def spmm_contributions(
         up = dist[cand] == lvl - 1
         tgt = cand[up]
         # a vertex collects its whole δ at its own level (candidates
-        # one level up are unique per row), so this is an assignment
-        delta[tgt] = sigma[tgt] * cx[:nnz][up]
-    delta2 = delta.reshape(b, n)
-    delta2[rows, srcs] = 0.0
-    return delta2.sum(axis=0)
+        # one level up are unique per row), so one write per target
+        got = sigma[tgt] * cx[:nnz][up]
+        if seed is not None:
+            got += delta[tgt]
+        delta[tgt] = got
+    return dist.reshape(b, n), delta.reshape(b, n)
+
+
+def spmm_contributions(
+    graph: CSRGraph,
+    sources,
+    *,
+    counter=None,
+    operands: Optional["_SpmmOperands"] = None,
+    workspace: Optional[BatchWorkspace] = None,
+) -> np.ndarray:
+    """Summed BC contributions of one batch via sparse matmuls.
+
+    The unseeded :func:`spmm_dependencies` sweep with each row's root
+    entry zeroed and the rows summed; scores match the per-source path
+    within float64 tolerance and the counted tally is identical.
+    """
+    srcs = np.asarray(sources, dtype=np.int64).ravel()
+    _dist, delta = spmm_dependencies(
+        graph, srcs, counter=counter, operands=operands, workspace=workspace
+    )
+    delta[np.arange(srcs.size), srcs] = 0.0
+    return delta.sum(axis=0)
 
 
 def arcs_contributions(

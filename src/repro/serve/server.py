@@ -562,6 +562,8 @@ class BCUnixServer(BCHTTPServer):
     """The same daemon on a unix domain socket (local, no TCP port)."""
 
     address_family = socket.AF_UNIX
+    _bound_path: Optional[str] = None
+    _published = False
 
     def server_bind(self) -> None:
         path = self.server_address
@@ -579,16 +581,34 @@ class BCUnixServer(BCHTTPServer):
                 )
             finally:
                 probe.close()
-        self.socket.bind(path)
+        # bind under a private name and publish the path only once the
+        # socket listens (server_activate): bind creates the file, and a
+        # client connecting before listen() is refused
+        self._bound_path = f"{path}.tmp"
+        if os.path.exists(self._bound_path):
+            os.unlink(self._bound_path)
+        self.socket.bind(self._bound_path)
         self.server_name = str(path)
         self.server_port = 0
 
+    def server_activate(self) -> None:
+        super().server_activate()
+        os.replace(self._bound_path, self.server_address)
+        self._bound_path = None
+        self._published = True
+
     def server_close(self) -> None:
         super().server_close()
-        try:
-            os.unlink(self.server_address)
-        except OSError:
-            pass
+        # never unlink a path this server did not publish: on the
+        # live-listener refusal it belongs to the other daemon
+        owned = [self._bound_path]
+        if self._published:
+            owned.append(self.server_address)
+        for path in filter(None, owned):
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
 
 
 def make_server(

@@ -12,7 +12,7 @@ import pytest
 from repro.baselines.brandes import brandes_bc, brandes_python_bc
 from repro.baselines.common import WorkCounter, run_per_source
 from repro.baselines.registry import get_algorithm
-from repro.core.apgre import apgre_bc
+from repro.core.apgre import apgre_bc, apgre_bc_detailed
 from repro.core.batched_subgraph import bc_subgraph_batched
 from repro.core.bc_subgraph import bc_subgraph
 from repro.core.config import APGREConfig
@@ -26,6 +26,7 @@ from repro.graph.batched import (
     batched_contributions,
     bfs_sigma_batched,
     resolve_batch_size,
+    spmm_available,
 )
 from repro.graph.traversal import bfs_sigma
 
@@ -189,19 +190,29 @@ class TestBatchedSubgraph:
         partition = graph_partition(g)
         compute_alpha_beta(g, partition)
         for sg in partition.subgraphs:
-            serial_c, batched_c = WorkCounter(), WorkCounter()
+            serial_c = WorkCounter()
             ref = bc_subgraph(
                 sg, eliminate_pendants=eliminate, counter=serial_c
             )
-            for bs in (1, 3, "auto"):
-                got = bc_subgraph_batched(
-                    sg,
-                    eliminate_pendants=eliminate,
-                    batch_size=bs,
-                    counter=batched_c if bs == 3 else None,
-                )
-                np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-9)
-            assert batched_c.edges == serial_c.edges
+            # the kernel axis loops here so the test ids stay per graph
+            for kernel in (None, "spmm", "arcs", "pull"):
+                batched_c = WorkCounter()
+                for bs in (1, 3, "auto"):
+                    got = bc_subgraph_batched(
+                        sg,
+                        eliminate_pendants=eliminate,
+                        batch_size=bs,
+                        counter=batched_c if bs == 3 else None,
+                        kernel=kernel,
+                    )
+                    np.testing.assert_allclose(
+                        got, ref, rtol=1e-9, atol=1e-9, err_msg=str(kernel)
+                    )
+                # bottom-up levels probe a different arc set by design
+                # (the pull kernel's split tally is pinned in
+                # test_kernels.py)
+                if kernel != "pull":
+                    assert batched_c.edges == serial_c.edges, kernel
 
     def test_root_subsets_sum(self, zoo_entry):
         _name, g, _nxg = zoo_entry
@@ -219,6 +230,52 @@ class TestBatchedSubgraph:
             sg, roots=roots[:half], batch_size=2
         ) + bc_subgraph_batched(sg, roots=roots[half:], batch_size=2)
         np.testing.assert_allclose(split, whole, rtol=1e-9, atol=1e-9)
+
+
+class TestBatchedFastPath:
+    """Default batched APGRE runs the SpMM sweep, not the arc replay.
+
+    The timing guard in ``test_perf_batched.py`` is too loose to catch
+    a silent fall-off onto the recorded-arc path; this one is exact.
+    """
+
+    @staticmethod
+    def record_forward(monkeypatch, *, forbid):
+        """Patch the arc-recording forward pass; return its call log."""
+        import repro.core.batched_subgraph as batched_subgraph
+
+        calls = []
+        real = batched_subgraph.bfs_sigma_batched
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs.get("kernel"))
+            if forbid:
+                raise AssertionError("bfs_sigma_batched was called")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(
+            batched_subgraph, "bfs_sigma_batched", recording
+        )
+        return calls
+
+    @pytest.mark.skipif(not spmm_available(), reason="needs scipy")
+    def test_default_never_records_arcs(self, monkeypatch, und_random):
+        calls = self.record_forward(monkeypatch, forbid=True)
+        res = apgre_bc_detailed(und_random, APGREConfig(batch_size="auto"))
+        np.testing.assert_allclose(
+            res.scores, brandes_bc(und_random), rtol=1e-9, atol=1e-9
+        )
+        assert calls == []
+
+    def test_arcs_kernel_reaches_replay(self, monkeypatch, und_random):
+        calls = self.record_forward(monkeypatch, forbid=False)
+        res = apgre_bc_detailed(
+            und_random, APGREConfig(batch_size="auto", kernel="arcs")
+        )
+        np.testing.assert_allclose(
+            res.scores, brandes_bc(und_random), rtol=1e-9, atol=1e-9
+        )
+        assert calls
 
 
 class TestAPGREBatched:

@@ -155,3 +155,35 @@ def test_counter_counts_dag_arcs(und_random):
     )
     dag_arcs = sum(src.size for src, _dst in res.level_arcs)
     assert counter.edges == dag_arcs
+
+
+def test_sweeps_fold_into_one_seeded_dependency(zoo_entry):
+    """δ_o2o = β(s)·δ_i2o, so eq. 7's row is (1 + γ + β)·(δ_i2i + δ_i2o).
+
+    The identities behind the batched path's single seeded sweep
+    (docs/ALGORITHM.md §7), checked on the per-source reference.
+    """
+    _name, g, _nxg = zoo_entry
+    if g.n == 0:
+        return
+    partition = graph_partition(g)
+    compute_alpha_beta(g, partition)
+    for sg in partition.subgraphs:
+        for s in sg.roots.tolist():
+            res = bfs_sigma(sg.graph, s, keep_level_arcs=True)
+            dep = accumulate_four_dependencies(
+                res, alpha=sg.alpha, beta=sg.beta, is_art=sg.is_boundary_art
+            )
+            np.testing.assert_allclose(
+                dep.delta_o2o, dep.size_o2i * dep.delta_i2o, rtol=1e-12
+            )
+            reached = np.flatnonzero(res.dist >= 1)
+            g_s = float(sg.gamma[s])
+            i2i = dep.delta_i2i[reached]
+            i2o = dep.delta_i2o[reached]
+            row = (1.0 + g_s) * (i2i + i2o)
+            if dep.source_is_art:
+                row = row + dep.size_o2i * i2i + dep.delta_o2o[reached]
+            np.testing.assert_allclose(
+                row, (1.0 + g_s + dep.size_o2i) * (i2i + i2o), rtol=1e-12
+            )

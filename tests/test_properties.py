@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from repro.baselines.brandes import brandes_bc
 from repro.baselines.common import per_source_delta
 from repro.core.apgre import apgre_bc
+from repro.core.batched_subgraph import bc_subgraph_batched
+from repro.core.bc_subgraph import bc_subgraph
 from repro.decompose.alphabeta import compute_alpha_beta
 from repro.decompose.articulation import biconnected_components
 from repro.decompose.partition import graph_partition
@@ -95,6 +97,38 @@ def test_apgre_without_pendant_elimination(g):
         rtol=1e-8,
         atol=1e-8,
     )
+
+
+@given(
+    random_graphs(),
+    st.sampled_from([0, 8]),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10_000),
+)
+@settings(**SETTINGS)
+def test_batched_root_slices_compose(g, threshold, eliminate, seed):
+    """Random root slices of the batched sweep sum to the whole
+    sub-graph, which matches the per-source four-dependency path."""
+    partition = graph_partition(g, threshold=threshold)
+    compute_alpha_beta(g, partition)
+    rng = np.random.default_rng(seed)
+    for sg in partition.subgraphs:
+        if eliminate:
+            roots = sg.roots
+        else:
+            roots = np.arange(sg.num_vertices, dtype=sg.roots.dtype)
+        ref = bc_subgraph(sg, eliminate_pendants=eliminate)
+        whole = bc_subgraph_batched(
+            sg, eliminate_pendants=eliminate, batch_size=4
+        )
+        np.testing.assert_allclose(whole, ref, rtol=1e-9, atol=1e-9)
+        cuts = np.sort(rng.integers(0, roots.size + 1, size=2))
+        parts = np.zeros_like(whole)
+        for piece in np.split(rng.permutation(roots), cuts):
+            parts += bc_subgraph_batched(
+                sg, eliminate_pendants=eliminate, roots=piece, batch_size=3
+            )
+        np.testing.assert_allclose(parts, whole, rtol=1e-9, atol=1e-9)
 
 
 @given(random_graphs())

@@ -514,6 +514,34 @@ class TestEndpoints:
             server.server_close()
         assert not os.path.exists(path)  # closed daemon unlinks its socket
 
+    def test_unix_socket_published_after_listen(self, tmp_path):
+        """The socket path appears only once connects are accepted:
+        a client polling for the path must never be refused."""
+        from repro.serve.server import BCRequestHandler, BCUnixServer
+
+        path = str(tmp_path / "bc.sock")
+        server = BCUnixServer(
+            path, BCRequestHandler, bind_and_activate=False
+        )
+        try:
+            server.server_bind()
+            assert not os.path.exists(path)
+            server.server_activate()
+            assert os.path.exists(path)
+            probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            try:
+                probe.connect(path)
+            finally:
+                probe.close()
+            # a second daemon on the live path is refused and must
+            # leave the first one's socket in place
+            with pytest.raises(ServeError):
+                BCUnixServer(path, BCRequestHandler)
+            assert os.path.exists(path)
+        finally:
+            server.server_close()
+        assert os.listdir(tmp_path) == []
+
 
 # ----------------------------------------------------------------------
 # bit-identity matrix (acceptance)
